@@ -20,6 +20,8 @@ Three solvers are provided:
   ``lambda`` plus inner bisections on each ``D_i'`` solves the problem
   in ``O(n log^2)`` -- orders of magnitude faster than SLSQP at
   datacenter port counts (the ablation benchmark quantifies this).
+  The inner solve is scalar float arithmetic per model, bit-identical
+  to a vectorised numpy formulation (see the KKT section below).
 * ``"projgrad"`` -- projected gradient descent onto the simplex; a
   dependency-free fallback that also handles non-convex models
   approximately.
@@ -30,7 +32,7 @@ Three solvers are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +74,7 @@ class AllocationProblem:
 
     def objective(self, weights: Sequence[float]) -> float:
         """Total predicted slowdown at ``weights``."""
-        return sum(m.predict(w) for m, w in zip(self.models, weights))
+        return _sum_left([m.predict(w) for m, w in zip(self.models, weights)])
 
 
 def equal_split(problem: AllocationProblem) -> List[float]:
@@ -129,79 +131,77 @@ def optimize_weights(
 # At the optimum of Eq. 2 with convex decreasing models, every
 # non-clamped application sits where its marginal benefit equals a
 # shared multiplier: D_i'(w_i) = -lambda.  The solver inverts each
-# marginal by bisection (vectorised with numpy across all models) and
-# bisects on lambda to meet the capacity constraint -- O(n) per lambda
-# probe, which keeps the Figure 12 controller-overhead measurement
-# tractable at datacenter application counts (pure Python remains well
-# above the paper's C-backed NLopt in absolute terms).
+# marginal by bisection and bisects on lambda to meet the capacity
+# constraint -- O(n) per lambda probe, which keeps the Figure 12
+# controller-overhead measurement tractable at datacenter application
+# counts.  Ports carry a handful of applications, so the inner solve is
+# plain float arithmetic per model: numpy's per-call overhead dominated
+# on arrays of 2-7 entries.
+#
+# Numeric contract: the scalar code performs the same IEEE operations
+# in the same order as the vectorised numpy formulation kept as the
+# reference in tests/core/test_allocation.py (clip, ``1/b``, Horner on
+# ``k*c_k``, ``-1/(b*b)``, each probe summed with ``np.sum``), so every
+# weight is bit-identical to it.  See DESIGN.md section 5l.
 
 
-class _ModelBatch:
-    """Vectorised derivative evaluation for a set of models."""
+class _Marginal:
+    """``D'`` of one model on the bracket ``[lo, hi]`` of one solve.
 
-    def __init__(self, models: Sequence[SensitivityModel]) -> None:
-        self.n = len(models)
-        degree = max(m.degree for m in models)
-        self.coeffs = np.zeros((self.n, degree + 1))
-        for i, m in enumerate(models):
-            self.coeffs[i, : m.degree + 1] = m.coefficients
-        self.inverse = np.array([m.basis == "inverse" for m in models])
-        self.lo = np.array([m.fit_domain[0] for m in models])
-        self.hi = np.array([m.fit_domain[1] for m in models])
-        self.degree = degree
-
-    def derivative(self, w: np.ndarray) -> np.ndarray:
-        """dD/db at ``w`` (per model), with domain clipping."""
-        b = np.clip(w, self.lo, self.hi)
-        x = np.where(self.inverse, 1.0 / b, b)
-        acc = np.zeros(self.n)
-        for k in range(self.degree, 0, -1):
-            acc = acc * x + k * self.coeffs[:, k]
-        return np.where(self.inverse, acc * (-1.0 / (b * b)), acc)
-
-
-def _weights_at_lambda(
-    batch: _ModelBatch, lam: float, lo: float, hi: float, iters: int = 30
-) -> np.ndarray:
-    """Solve ``D_i'(w_i) = -lam`` per model by vector bisection.
-
-    For convex decreasing ``D``, ``D'`` is increasing, so the root is
-    unique; outside the bracket the answer clamps to the boundary.
+    The bracket-end values are computed once per solve, so a model
+    clamped to either end skips the inner bisection.
     """
-    target = -lam
-    a = np.full(batch.n, lo)
-    b = np.full(batch.n, hi)
-    at_lo = batch.derivative(a) >= target  # floor: gain already below
-    at_hi = batch.derivative(b) <= target  # cap: gain still above
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = batch.derivative(mid) < target
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    w = 0.5 * (a + b)
-    w = np.where(at_lo, lo, w)
-    w = np.where(at_hi, hi, w)
-    return w
+
+    __slots__ = ("lo", "hi", "at", "at_lo", "at_hi")
+
+    def __init__(self, model: SensitivityModel, lo: float, hi: float) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.at = model.derivative
+        self.at_lo = self.at(lo)
+        self.at_hi = self.at(hi)
+
+    def weight_at(self, target: float, iters: int = 30) -> float:
+        """Solve ``D'(w) = target`` on ``[lo, hi]`` by bisection.
+
+        For convex decreasing ``D``, ``D'`` is increasing, so the root
+        is unique; outside the bracket the answer clamps to the cap
+        (gain still above the target there) or else the floor (gain
+        already below it).
+        """
+        if self.at_hi <= target:
+            return self.hi
+        if self.at_lo >= target:
+            return self.lo
+        a, b = self.lo, self.hi
+        for _ in range(iters):
+            mid = 0.5 * (a + b)
+            if self.at(mid) < target:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
 
 
 def _solve_kkt(
     problem: AllocationProblem, stats: Optional[dict] = None
 ) -> List[float]:
-    """Bisection on the shared marginal ``lambda`` (vectorised)."""
+    """Bisection on the shared marginal ``lambda``."""
     if stats is None:
         stats = {}
     n = len(problem.models)
     lo_w = problem.min_weight
     hi_w = problem.total - (n - 1) * problem.min_weight
-    batch = _ModelBatch(problem.models)
+    marginals = [_Marginal(m, lo_w, hi_w) for m in problem.models]
     probes = 0
+
+    def weights(lam: float) -> List[float]:
+        return [m.weight_at(-lam) for m in marginals]
 
     def excess(lam: float) -> float:
         nonlocal probes
         probes += 1
-        return float(
-            _weights_at_lambda(batch, lam, lo_w, hi_w).sum()
-        ) - problem.total
+        return float(np.sum(weights(lam))) - problem.total
 
     # Bracket lambda: at lambda -> 0+ every app wants its cap; at a huge
     # lambda every app drops to the floor.
@@ -217,16 +217,15 @@ def _solve_kkt(
     else:
         raise AllocationError("could not bracket lambda; models degenerate")
     # Brent needs far fewer probes than plain bisection, and each probe
-    # is a full vectorised inner solve -- this is the hot path of the
-    # Figure 12 controller-overhead measurement.
+    # is a full inner solve -- this is the hot path of the Figure 12
+    # controller-overhead measurement.
     from scipy import optimize as _sopt
 
     lam_star = _sopt.brentq(
         excess, 0.0, lam_hi, xtol=1e-6, rtol=1e-6, maxiter=60
     )
-    weights = _weights_at_lambda(batch, lam_star, lo_w, hi_w)
     stats.update(solver="kkt", iterations=probes)
-    return _renormalise([float(w) for w in weights], problem)
+    return _renormalise(weights(lam_star), problem)
 
 
 # -- SLSQP -----------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _solve_slsqp(
     ] * n
 
     def objective(x: np.ndarray) -> float:
-        return float(sum(m.predict(float(w)) for m, w in zip(problem.models, x)))
+        return problem.objective(x.tolist())
 
     result = optimize.minimize(
         objective,
@@ -312,6 +311,19 @@ def _solve_projected_gradient(
 
 
 # -- shared ------------------------------------------------------------------------
+
+
+def _sum_left(values: Iterable[float]) -> float:
+    """Sum left to right from ``0.0``, uncompensated.
+
+    Builtin ``sum`` over floats compensates its rounding from Python
+    3.12 on (Neumaier) but not on 3.10/3.11, so it would make Eq. 2
+    objectives, and hence SLSQP weights, differ across interpreters.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _renormalise(weights: List[float], problem: AllocationProblem) -> List[float]:

@@ -88,8 +88,8 @@ class _ControllerView:
         # Sum of two monotonic revisions: the controller's own
         # clustering epoch and the model provider's.  Online refits
         # change model *coefficients* without changing model *names*,
-        # so without the provider term the pipeline's weight and
-        # signature caches would keep serving pre-refit solutions.
+        # so without the provider term the pipeline's signature cache
+        # would keep serving pre-refit port tables.
         return self._c._epoch + self._c._provider.epoch
 
     def pl_of(self, job_id: str) -> Optional[int]:
@@ -154,7 +154,8 @@ class SabaController:
             observer: observability sink (:mod:`repro.obs`); emits
                 registration, solve, and port-programming events.  The
                 no-op default costs nothing.
-            use_weight_cache: memoise Eq. 2 per application multiset.
+            use_weight_cache: memoise Eq. 2 solutions on their full
+                input (model contents, ``c_saba``, floor, solver).
             use_group_models: solve Eq. 2 with PL-group centroid models
                 instead of per-application models (the information a
                 database-driven distributed controller has).
@@ -442,9 +443,9 @@ class SabaController:
         self._rebuild_hierarchy()
 
     def _rebuild_hierarchy(self) -> None:
-        # The epoch bump invalidates the pipeline's Eq. 2 cache and
-        # every port's programmed signature: centroid models changed,
-        # so cached solutions and signatures are stale.
+        # The epoch bump invalidates every port's programmed
+        # signature: centroid models changed, so the signatures are
+        # stale.  (The Eq. 2 memo is keyed on model contents.)
         self._epoch += 1
         if not self._pl_models:
             self._hierarchy = None
@@ -476,7 +477,7 @@ class SabaController:
 
         Cheap no-op when no registered application runs an affected
         workload: the provider's epoch bump alone invalidates the
-        pipeline caches for future passes.
+        pipeline's port signatures for future passes.
         """
         affected = set(workloads)
         pls = sorted({

@@ -181,7 +181,11 @@ class DistributedControllerGroup:
     """N controller shards + replicated mapping database.
 
     Satisfies both the fabric-policy protocol and the controller RPC
-    surface, so the Saba library works with it unchanged.
+    surface, so the Saba library works with it unchanged.  The
+    keyword arguments are the pipeline's (see
+    :class:`~repro.core.pipeline.AllocationPipeline`); in particular
+    ``use_weight_cache`` memoises Eq. 2 solutions on their full input
+    (PL-centroid model contents, ``c_saba``, floor, solver).
     """
 
     name = "saba-distributed"

@@ -20,7 +20,7 @@ frontends now share, factored into the stages the paper describes:
 4. **queue mapping** -- :meth:`PLHierarchy.best_clustering` over the
    active PL rows, honouring the reserved queue;
 5. **weight solve** -- Eq. 2 over the applications present, memoised
-   per multiset of model names;
+   on the solve's full input (see :meth:`AllocationPipeline._weights_for`);
 6. **programming** -- :class:`PortProgrammer` installs the PL-to-queue
    mapping and summed per-queue weights into the port's
    :class:`~repro.simnet.switch.QueueTable` and emits the
@@ -64,7 +64,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core.allocation import DEFAULT_MIN_WEIGHT, optimize_weights
+from repro.core.allocation import (
+    DEFAULT_MIN_WEIGHT,
+    AllocationProblem,
+    optimize_weights,
+)
 from repro.core.clustering import PLHierarchy
 from repro.core.sensitivity import SensitivityModel
 from repro.errors import RegistrationError
@@ -89,6 +93,10 @@ DEFAULT_C_SABA = 1.0
 #: Signature marker for a port in the unprogrammed (reset) state.
 _RESET_SIG = ("__reset__",)
 
+#: Eq. 2 solutions one pipeline keeps memoised; the oldest is dropped
+#: beyond this.  A fig10-style co-run poses ~140 distinct problems.
+WEIGHT_MEMO_CAP = 1024
+
 
 class AllocationView(Protocol):
     """What the pipeline needs to know about the frontend's PL state.
@@ -96,8 +104,9 @@ class AllocationView(Protocol):
     The centralized controller adapts its incremental clustering state
     to this protocol; the distributed design adapts its static mapping
     database.  ``epoch`` must change whenever PL membership, centroid
-    models, or the hierarchy change -- it keys both the Eq. 2 weight
-    cache and the per-port signature cache.
+    models, or the hierarchy change -- it keys the per-port signature
+    cache.  (The Eq. 2 weight memo is keyed on model contents and
+    needs no epoch.)
     """
 
     @property
@@ -276,7 +285,9 @@ class AllocationPipeline:
                 ``distributed``) so existing dashboards keep working.
             c_saba / min_weight / solver / reserved_queue: Eq. 2 and
                 programming parameters, as on the frontends.
-            use_weight_cache: memoise Eq. 2 per model-name multiset.
+            use_weight_cache: memoise Eq. 2 solutions on their full
+                input (model contents in name order, ``c_saba``, the
+                floor and the solver), across epochs.
             use_signature_cache: skip ports whose programmed signature
                 is unchanged (exact; see the module docstring).
             coalesce_quantum: sim-seconds to batch connection-churn
@@ -308,8 +319,8 @@ class AllocationPipeline:
         self._mirror = mirror_stats
         self._port_context = port_context
         self._fabric: Optional[FluidFabric] = None
-        self._weight_cache: Dict[Tuple[str, ...], List[float]] = {}
-        self._cache_epoch: Optional[int] = None
+        #: Eq. 2 memo: solve input -> weights in model-name order.
+        self._weight_cache: Dict[Tuple[object, ...], List[float]] = {}
         #: link_id -> (signature, generation written) of the last
         #: program/reset this pipeline performed at the port.
         self._signatures: Dict[str, Tuple[object, int]] = {}
@@ -339,13 +350,6 @@ class AllocationPipeline:
         mirror = self._mirror
         if mirror is not None and hasattr(mirror, attr):
             setattr(mirror, attr, getattr(mirror, attr) + amount)
-
-    def _sync_epoch(self) -> None:
-        """Lazily drop the Eq. 2 cache when the PL state changed."""
-        epoch = self._view.epoch
-        if epoch != self._cache_epoch:
-            self._weight_cache.clear()
-            self._cache_epoch = epoch
 
     # -- entry points -----------------------------------------------------------
 
@@ -428,7 +432,6 @@ class AllocationPipeline:
         switches".  No reallocation event is emitted and rates are not
         invalidated -- this is a timing probe, not a control action.
         """
-        self._sync_epoch()
         t0 = time.perf_counter()
         for link_id in list(link_ids):
             self._reallocate_port(link_id, force=force)
@@ -437,7 +440,6 @@ class AllocationPipeline:
     # -- the reallocation pass --------------------------------------------------
 
     def _run_pass(self, link_ids: Sequence[str], force: bool) -> None:
-        self._sync_epoch()
         self.stats.passes += 1
         t0 = time.perf_counter()
         changed = []
@@ -563,16 +565,25 @@ class AllocationPipeline:
     # -- the weight solve -------------------------------------------------------
 
     def _weights_for(self, apps: Sequence[str]) -> List[float]:
-        """Eq. 2 over the applications at one port (cached).
+        """Eq. 2 over the applications at one port (memoised).
 
         Datacenter workloads churn connections far faster than the set
-        of co-located applications changes, so the per-model-multiset
-        cache eliminates nearly all optimiser invocations in steady
-        state (the Figure 12 benchmark disables it to time raw
-        calculations)."""
+        of co-located applications changes, so the memo eliminates
+        nearly all optimiser invocations in steady state (the Figure 12
+        benchmark disables it to time raw calculations).  The key is
+        the solve's whole input -- each model's
+        :attr:`~repro.core.sensitivity.SensitivityModel.solve_key` in
+        name order, ``c_saba``, the floor (the effective floor is a
+        function of it, ``c_saba`` and the model count) and the solver
+        -- so an entry stays valid across hierarchy epochs and a
+        refitted model misses it."""
         models = [self._view.model_of(a) for a in apps]
         order = sorted(range(len(apps)), key=lambda i: models[i].name)
-        key = tuple(models[i].name for i in order)
+        # A flat tuple of strings with cached hashes keeps a warm
+        # lookup as cheap as one keyed on model names.
+        parts: List[object] = [models[i].solve_key for i in order]
+        parts += (self.c_saba, self.min_weight, self.solver)
+        key = tuple(parts)
         weights_sorted = (
             self._weight_cache.get(key) if self.use_weight_cache else None
         )
@@ -589,22 +600,20 @@ class AllocationPipeline:
                     SOLVE_BEGIN, self._sim_now(), apps=len(apps),
                     solver=self.solver,
                 )
+            min_weight = min(self.min_weight, self.c_saba / (2 * len(apps)))
             t0 = time.perf_counter()
             weights_sorted = optimize_weights(
                 ordered_models,
                 total=self.c_saba,
-                min_weight=min(
-                    self.min_weight, self.c_saba / (2 * len(apps))
-                ),
+                min_weight=min_weight,
                 solver=self.solver,
                 stats=solve_stats,
             )
             if obs.enabled:
                 elapsed = time.perf_counter() - t0
-                objective = sum(
-                    m.predict(w)
-                    for m, w in zip(ordered_models, weights_sorted)
-                )
+                objective = AllocationProblem(
+                    tuple(ordered_models), self.c_saba, min_weight
+                ).objective(weights_sorted)
                 obs.metrics.counter(f"{prefix}.solver_calls").inc()
                 obs.metrics.histogram(f"{prefix}.solve_seconds").observe(
                     elapsed
@@ -616,7 +625,10 @@ class AllocationPipeline:
                     objective=objective, duration=elapsed,
                 )
             if self.use_weight_cache:
-                self._weight_cache[key] = weights_sorted
+                memo = self._weight_cache
+                if len(memo) >= WEIGHT_MEMO_CAP:
+                    del memo[next(iter(memo))]
+                memo[key] = weights_sorted
         else:
             self.stats.solver_cache_hits += 1
             if obs.enabled:

@@ -33,8 +33,9 @@ shrinks), keeping Eq. 2 well-posed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,11 +107,12 @@ class SensitivityModel:
             acc = acc * x + c
         return acc
 
-    def _poly_deriv(self, x: float) -> float:
-        acc = 0.0
-        for i in range(self.degree, 0, -1):
-            acc = acc * x + i * self.coefficients[i]
-        return acc
+    @cached_property
+    def _deriv_terms(self) -> Tuple[float, ...]:
+        """``i * c_i`` from the leading term down: Horner's order for D'."""
+        return tuple(
+            i * self.coefficients[i] for i in range(self.degree, 0, -1)
+        )
 
     def _raw(self, b: float) -> float:
         """Model value at ``b`` without clipping the output."""
@@ -127,17 +129,39 @@ class SensitivityModel:
     def derivative(self, b: float) -> float:
         """d D / d b at ``b`` (clipped to the fit domain)."""
         b = self._clip(b)
-        if self.basis == "inverse":
-            x = 1.0 / b
-            return self._poly_deriv(x) * (-1.0 / (b * b))
-        return self._poly_deriv(b)
+        inverse = self.basis == "inverse"
+        x = 1.0 / b if inverse else b
+        acc = 0.0
+        for term in self._deriv_terms:
+            acc = acc * x + term
+        if inverse:
+            return acc * (-1.0 / (b * b))
+        return acc
 
     def is_convex_decreasing(self, lo: float, hi: float, samples: int = 33) -> bool:
         """Check D' <= 0 and D'' >= 0 numerically on [lo, hi] (in b).
 
         The Eq. 2 water-filling solver requires this; non-conforming
-        models fall back to SLSQP.
+        models fall back to SLSQP.  The verdict is a pure function of
+        the model and the arguments, so it is memoised per instance
+        (the memo is not part of equality, hashing, ``repr`` or
+        pickling, and :func:`dataclasses.replace` starts a fresh one).
+        Eq. 2 asks about one interval per application count at a port,
+        so the memo stays small.
         """
+        memo = self._convexity_memo
+        key = (lo, hi, samples)
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = self._check_convex_decreasing(
+                lo, hi, samples
+            )
+        return verdict
+
+    def _check_convex_decreasing(
+        self, lo: float, hi: float, samples: int
+    ) -> bool:
+        """The uncached :meth:`is_convex_decreasing` computation."""
         lo = max(lo, self.fit_domain[0])
         hi = min(hi, self.fit_domain[1])
         if lo >= hi:
@@ -148,6 +172,29 @@ class SensitivityModel:
             return False
         d2 = np.diff(d1) / np.diff(xs)
         return bool(np.all(d2 >= -1e-6))
+
+    @cached_property
+    def _convexity_memo(self) -> Dict[Tuple[float, float, int], bool]:
+        return {}
+
+    @cached_property
+    def solve_key(self) -> str:
+        """Exact text of everything Eq. 2 reads from this model.
+
+        ``basis``, ``fit_domain`` and ``coefficients`` (not ``name``
+        or ``r_squared``), with every float in ``float.hex`` form, so
+        two models share a key only if every solve treats them
+        bit-identically.  Built once per instance; a string because
+        its hash is cached, which keeps memo lookups keyed on tuples
+        of these as cheap as lookups keyed on model names.
+        """
+        numbers = self.fit_domain + self.coefficients
+        return self.basis + ":" + ",".join(float(v).hex() for v in numbers)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Only the fields: the cached properties above are derived
+        # data and rebuild on demand after unpickling or copying.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def as_vector(self, degree: int | None = None) -> np.ndarray:
         """Coefficient vector, zero-padded/truncated to ``degree + 1``.

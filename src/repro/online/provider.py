@@ -10,11 +10,13 @@ that lookup to be a policy, not a dictionary access.  A
 * ``epoch`` -- a monotonic revision that changes whenever any answer
   to ``model_of`` may have changed.
 
-``epoch`` is load-bearing: the allocation pipeline's weight and
-per-port signature caches are keyed on the controller view's epoch,
-and online refits change model *coefficients* without changing model
-*names* -- without the provider epoch folded in, a refit would be
-invisible to the caches and stale weights would keep being enforced.
+``epoch`` is load-bearing: the allocation pipeline's per-port
+signature cache is keyed on the controller view's epoch, and online
+refits change model *coefficients* without changing model *names* --
+without the provider epoch folded in, a refit would be invisible to
+that cache and stale port tables would keep being enforced.  (The
+pipeline's Eq. 2 memo is keyed on model contents, so a refit misses
+it regardless of the epoch.)
 
 Three implementations:
 

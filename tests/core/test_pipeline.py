@@ -6,9 +6,12 @@ handle for any frontend, and the frontend-parity guarantees: both
 control planes are thin wrappers over the same staged pipeline.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import RegistrationError
+from repro.core import pipeline as pipeline_module
 from repro.core.controller import SabaController
 from repro.core.distributed import DistributedControllerGroup, MappingDatabase
 from repro.obs import Observer
@@ -316,3 +319,111 @@ def test_distributed_emits_same_obs_counters(small_table):
     ):
         assert required in central
         assert required in distributed
+
+
+# -- Eq. 2 weight memo --------------------------------------------------------
+
+
+class _SwappableProvider:
+    """Model provider whose models a test can refit in place."""
+
+    def __init__(self, table):
+        self.models = {m.name: m for m in table}
+        self.epoch = 0
+
+    def has_model(self, workload):
+        return workload in self.models
+
+    def model_of(self, workload):
+        return self.models[workload]
+
+    def refit(self, workload, coefficients):
+        self.models[workload] = replace(
+            self.models[workload], coefficients=coefficients
+        )
+        self.epoch += 1
+
+
+def _two_app_port(controller, port):
+    controller.conn_create("a", [port])
+    controller.conn_create("b", [port])
+
+
+def test_weight_memo_survives_epoch_bump(small_table):
+    controller = SabaController(small_table)
+    _attach(controller)
+    controller.app_register("a", "LR")
+    controller.app_register("b", "PR")
+    _two_app_port(controller, _nic(0))
+    stats = controller.pipeline.stats
+    calls = stats.optimizer_calls
+    epoch = controller.pipeline._view.epoch
+    # A new workload rebuilds the hierarchy (epoch bump) but leaves the
+    # models of "a" and "b" untouched: their solves are still memoised.
+    controller.app_register("c", "Sort")
+    assert controller.pipeline._view.epoch > epoch
+    _two_app_port(controller, _nic(1))
+    assert stats.programs >= 4
+    assert stats.optimizer_calls == calls
+
+
+def test_memoised_weights_equal_uncached_solves(small_table):
+    def port_weights(**kwargs):
+        controller = SabaController(small_table, **kwargs)
+        fabric = _attach(controller)
+        for job, workload in (("a", "LR"), ("b", "PR"), ("c", "Sort")):
+            controller.app_register(job, workload)
+        for i in range(3):
+            for job in ("a", "b", "c")[: i + 1]:
+                controller.conn_create(job, [_nic(i), _egress(3)])
+        tables = [_nic(0), _nic(1), _nic(2), _egress(3)]
+        return controller.pipeline.stats, [
+            fabric.topology.port_table(link).weights for link in tables
+        ]
+
+    cached_stats, cached = port_weights()
+    raw_stats, raw = port_weights(use_weight_cache=False)
+    assert cached_stats.solver_cache_hits > 0
+    assert raw_stats.solver_cache_hits == 0
+    assert cached == raw
+
+
+def test_refit_model_misses_weight_memo(small_table):
+    provider = _SwappableProvider(small_table)
+    controller = SabaController(small_table, model_provider=provider)
+    _attach(controller)
+    controller.app_register("a", "LR")
+    controller.app_register("b", "PR")
+    _two_app_port(controller, _nic(0))
+    stats = controller.pipeline.stats
+    calls = stats.optimizer_calls
+    # Same name, same coefficients, new instance: a memo hit.
+    lr = provider.models["LR"]
+    provider.refit("LR", lr.coefficients)
+    _two_app_port(controller, _nic(1))
+    assert stats.optimizer_calls == calls
+    # Same name, new coefficients: both LR problems miss.
+    provider.refit("LR", tuple(c * 1.5 for c in lr.coefficients))
+    _two_app_port(controller, _nic(2))
+    assert stats.optimizer_calls == calls + 2
+
+
+def test_weight_memo_is_bounded(small_table, monkeypatch):
+    monkeypatch.setattr(pipeline_module, "WEIGHT_MEMO_CAP", 3)
+    provider = _SwappableProvider(small_table)
+    controller = SabaController(small_table, model_provider=provider)
+    _attach(controller, n_servers=8)
+    controller.app_register("a", "LR")
+    controller.app_register("b", "PR")
+    memo = controller.pipeline._weight_cache
+    lr = provider.models["LR"]
+    for i in range(8):
+        provider.refit("LR", tuple(c * (1.0 + i / 8) for c in lr.coefficients))
+        _two_app_port(controller, _nic(i))
+        assert len(memo) <= 3
+    assert len(memo) == 3
+    # First in, first out: the newest problems are the ones kept.
+    stats = controller.pipeline.stats
+    calls = stats.optimizer_calls
+    controller.pipeline._weights_for(["a", "b"])
+    assert stats.optimizer_calls == calls

@@ -1,6 +1,9 @@
 """Tests for sensitivity models, fitting, and R^2."""
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +98,77 @@ def test_derivative_matches_finite_difference():
 def test_is_convex_decreasing_true_for_hyperbola():
     model = fit_sensitivity_model("x", _hyperbolic_samples(), degree=1)
     assert model.is_convex_decreasing(0.1, 0.9)
+
+
+def _memoised(model):
+    """``model`` with a few convexity verdicts (and its key) cached."""
+    model.is_convex_decreasing(0.1, 0.9)
+    model.is_convex_decreasing(0.2, 0.6, samples=9)
+    model.solve_key
+    return model
+
+
+def test_convexity_memo_not_pickled_or_compared():
+    model = _memoised(
+        fit_sensitivity_model("x", _hyperbolic_samples(), degree=2)
+    )
+    fresh = fit_sensitivity_model("x", _hyperbolic_samples(), degree=2)
+    assert model == fresh
+    assert hash(model) == hash(fresh)
+    assert repr(model) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(model)), copy.copy(model)):
+        assert clone == model
+        assert "_convexity_memo" not in vars(clone)
+        assert "solve_key" not in vars(clone)
+        assert clone.is_convex_decreasing(0.1, 0.9)
+
+
+def test_replace_starts_a_fresh_memo():
+    model = _memoised(
+        fit_sensitivity_model("x", _hyperbolic_samples(), degree=2)
+    )
+    # Flip the slope: the copy must not inherit the memoised verdict.
+    flipped = replace(
+        model, coefficients=tuple(-c for c in model.coefficients)
+    )
+    assert "_convexity_memo" not in vars(flipped)
+    assert flipped.solve_key != model.solve_key
+    assert model.is_convex_decreasing(0.1, 0.9)
+    assert not flipped.is_convex_decreasing(0.1, 0.9)
+
+
+def test_solve_key_ignores_name_and_fit_quality():
+    model = fit_sensitivity_model("x", _hyperbolic_samples(), degree=2)
+    renamed = replace(model, name="y", r_squared=None)
+    assert renamed.solve_key == model.solve_key
+    for changed in (
+        replace(model, basis="power"),
+        replace(model, fit_domain=(0.1, 1.0)),
+        replace(
+            model,
+            coefficients=model.coefficients[:-1]
+            + (model.coefficients[-1] * (1 + 1e-15),),
+        ),
+    ):
+        assert changed.solve_key != model.solve_key
+
+
+@given(
+    coeffs=st.lists(
+        st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=4
+    ),
+    basis=st.sampled_from(("inverse", "power")),
+    lo=st.floats(min_value=0.0, max_value=0.5),
+    hi=st.floats(min_value=0.3, max_value=1.0),
+    samples=st.integers(min_value=2, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_convexity_memo_matches_uncached(coeffs, basis, lo, hi, samples):
+    model = SensitivityModel("x", tuple(coeffs), basis=basis)
+    expected = model._check_convex_decreasing(lo, hi, samples)
+    assert model.is_convex_decreasing(lo, hi, samples) == expected
+    assert model.is_convex_decreasing(lo, hi, samples) == expected
+    assert model._convexity_memo == {(lo, hi, samples): expected}
 
 
 def test_fit_needs_enough_samples():
