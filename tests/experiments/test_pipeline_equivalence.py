@@ -1,11 +1,48 @@
 """Pipeline-refactor equivalence pins.
 
-The allocation pipeline extraction (``repro.core.pipeline``) must be
-behavior-preserving: with event coalescing off and signature caching
-on (the defaults), fig8 and fig10 outputs are bit-identical to the
-pre-refactor code.  ``golden_pipeline.json`` was generated by the
-commit immediately before the refactor with the exact recipe below;
-these tests compare with ``==`` on the raw floats, not approx.
+The allocation pipeline extraction (``repro.core.pipeline``, commit
+``1de9554``) must be behavior-preserving: with event coalescing off
+and signature caching on (the defaults), fig8 and fig10 outputs are
+bit-identical to the pre-refactor code, commit ``ef1d96a``.  These
+tests compare with ``==`` on the raw floats, not approx.
+
+The outputs are a function of the code *and* of the numeric stack it
+runs on, so ``golden_pipeline.json`` keeps a list of recordings, each
+tagged with the stack that produced it:
+
+* **scipy release.**  SLSQP runs in the constrained sensitivity fit
+  (``core.sensitivity._constrained_fit``) and in the Eq. 2 solve of
+  non-convex ports (``core.allocation._solve_slsqp``), and its iterates
+  change between scipy releases.  One ulp in a fitted coefficient
+  moves fig8 by ~7e-8 relative, because ``_solve_kkt``'s Brent stop at
+  ``xtol=rtol=1e-6`` and its 30-step inner bisection quantise the
+  weights; one ulp in an SLSQP weight moves fig10 by about an ulp.
+* **numpy release**, which SLSQP and the fits are built on.
+* **CPython minor version.**  Builtin ``sum`` compensates rounding from
+  3.12 on, and ``simnet/fairness.py`` uses it for fluid rates.
+
+A recording's ``stack`` is ``{"python": "X.Y", "numpy": ..., "scipy":
+...}``; the first recording holds the values the file was created
+with, whose stack was not recorded (``stack`` is null), so no
+installed stack selects it.  The recipe subprocess reports its own
+stack beside its outputs and both tests compare against the recording
+for that stack.  Where the installed stack has no recording the tests
+skip, naming the installed stack and the recorded ones: there is no
+pre-refactor reference to compare with.  The CI ``perfbench`` job pins
+a recorded stack and fails if these tests skip.
+
+To record a stack, run ``_PINNED_RECIPE`` against the pre-refactor
+``src/`` tree with this module as a script (any checkout of
+``ef1d96a``'s ``src/``, a ``git worktree`` say, serves as well)::
+
+    mkdir -p /tmp/pre-refactor
+    git archive ef1d96a src | tar -x -C /tmp/pre-refactor
+    python tests/experiments/test_pipeline_equivalence.py \\
+        /tmp/pre-refactor/src \\
+        --source-commit ef1d96a2dcb13c9ca03620ed8055020ed5e8de6a
+
+and append the printed entry to ``recordings``.  Passing ``src``
+instead prints HEAD's figures for the same stack, which must match.
 
 The recipe runs in a fresh subprocess and replays fig8 and fig10 in
 one process, in the golden-generation order.  Both points matter:
@@ -25,6 +62,7 @@ connection events into one deduplicated pass per quantum must still
 complete the same job set.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -33,13 +71,16 @@ from pathlib import Path
 
 import pytest
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 GOLDEN = Path(__file__).parent / "golden_pipeline.json"
 
 #: Reduced spine-leaf shape used by the golden fig10 runs.
 TINY_TOPOLOGY = dict(n_spine=2, n_leaf=3, n_tor=4, servers_per_tor=4)
 
 #: Exact replay of the golden-generation script: catalog table, two
-#: fig8 setup pairs, then the fig10 baseline/saba points.
+#: fig8 setup pairs, then the fig10 baseline/saba points; the stack is
+#: read only after both figures are computed.
 _PINNED_RECIPE = """
 import json
 from repro.experiments.common import build_catalog_table
@@ -67,31 +108,37 @@ fig10 = {
     )
     for policy in ("baseline", "saba")
 }
-print(json.dumps({"fig8": fig8, "fig10": fig10}))
+
+import sys
+import numpy
+import scipy
+stack = {
+    "python": "%d.%d" % sys.version_info[:2],
+    "numpy": numpy.__version__,
+    "scipy": scipy.__version__,
+}
+print(json.dumps({"stack": stack, "fig8": fig8, "fig10": fig10}))
 """
 
 _pinned_cache = {}
 
 
-def _run_recipe(script):
-    repo_root = Path(__file__).resolve().parents[2]
+def _run_recipe(script, src=REPO_ROOT / "src"):
+    """Run ``script`` in a fresh interpreter importing ``repro`` from
+    ``src``; the persistent sweep cache is left off so every point is
+    computed by the tree under test."""
     env = dict(os.environ)
-    src = str(repo_root / "src")
+    env.pop("REPRO_SWEEP_CACHE_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(src), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=540,
-        cwd=repo_root, env=env,
+        cwd=REPO_ROOT, env=env,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +148,25 @@ def pinned():
     return _pinned_cache["result"]
 
 
-def test_fig8_bit_identical_to_pre_refactor(golden, pinned):
-    assert pinned["fig8"] == golden["fig8"]
+@pytest.fixture(scope="module")
+def recording(pinned):
+    recordings = json.loads(GOLDEN.read_text())["recordings"]
+    for entry in recordings:
+        if entry["stack"] == pinned["stack"]:
+            return entry
+    recorded = [entry["stack"] for entry in recordings if entry["stack"]]
+    pytest.skip(
+        f"no pre-refactor recording for the installed stack "
+        f"{pinned['stack']}; recorded stacks: {recorded}"
+    )
 
 
-def test_fig10_bit_identical_to_pre_refactor(golden, pinned):
-    assert pinned["fig10"] == golden["fig10"]
+def test_fig8_bit_identical_to_pre_refactor(recording, pinned):
+    assert pinned["fig8"] == recording["fig8"]
+
+
+def test_fig10_bit_identical_to_pre_refactor(recording, pinned):
+    assert pinned["fig10"] == recording["fig10"]
 
 
 def test_coalesced_churn_completes_same_job_set():
@@ -149,3 +209,22 @@ def test_coalesced_churn_completes_same_job_set():
     assert coalesced_stats.coalesce_flushes > 0
     assert coalesced_stats.coalesced_updates > 0
     assert coalesced_stats.passes < eager_stats.passes
+
+
+def main(argv=None):
+    """Print a ``golden_pipeline.json`` recording of ``_PINNED_RECIPE``
+    run against the given ``src/`` tree on the installed stack."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("src", type=Path, help="the src/ tree to run")
+    parser.add_argument(
+        "--source-commit", required=True,
+        help="the commit the src/ tree was checked out from",
+    )
+    args = parser.parse_args(argv)
+    result = _run_recipe(_PINNED_RECIPE, src=args.src.resolve())
+    result["source_commit"] = args.source_commit
+    print(json.dumps(result, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
